@@ -3,7 +3,8 @@
 Solvers consume a :class:`BenefitMatrices` bundle — the requester
 matrix, the worker matrix, and the combined per-edge matrix under a
 chosen combiner — so that the expensive vectorized computation happens
-exactly once per market snapshot.
+exactly once per market snapshot, from entity arrays both side
+models share.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.benefit.base import BenefitModel
 from repro.benefit.mutual import LinearCombiner, MutualCombiner
 from repro.benefit.requester_benefit import QualityGainBenefit
@@ -78,26 +80,41 @@ class BenefitMatrices:
         return self.combiner.total(req, wrk)
 
 
+def default_models(
+    combiner: MutualCombiner | None = None,
+    requester_model: BenefitModel | None = None,
+    worker_model: BenefitModel | None = None,
+) -> tuple[MutualCombiner, BenefitModel, BenefitModel]:
+    """Fill unset arguments with the library defaults.
+
+    Defaults: :class:`QualityGainBenefit`, :class:`NetRewardBenefit`,
+    and a λ=0.5 :class:`LinearCombiner` — the configuration every
+    example starts from.
+    """
+    return (
+        combiner if combiner is not None else LinearCombiner(0.5),
+        requester_model if requester_model is not None else QualityGainBenefit(),
+        worker_model if worker_model is not None else NetRewardBenefit(),
+    )
+
+
 def build_benefit_matrices(
     market: LaborMarket,
     combiner: MutualCombiner | None = None,
     requester_model: BenefitModel | None = None,
     worker_model: BenefitModel | None = None,
 ) -> BenefitMatrices:
-    """Build the matrix bundle with the library defaults.
-
-    Defaults: :class:`QualityGainBenefit`, :class:`NetRewardBenefit`,
-    and a λ=0.5 :class:`LinearCombiner` — the configuration every
-    example starts from.
-    """
-    combiner = combiner if combiner is not None else LinearCombiner(0.5)
-    requester_model = (
-        requester_model if requester_model is not None else QualityGainBenefit()
+    """Build the matrix bundle (library defaults for unset arguments)."""
+    combiner, requester_model, worker_model = default_models(
+        combiner, requester_model, worker_model
     )
-    worker_model = worker_model if worker_model is not None else NetRewardBenefit()
-    requester = requester_model.matrix(market)
-    worker = worker_model.matrix(market)
-    combined = combiner.edge_matrix(requester, worker)
+    with obs.span(
+        "benefit.matrix", workers=market.n_workers, tasks=market.n_tasks
+    ):
+        arrays = market.entity_arrays()
+        requester = requester_model.matrix(market, arrays)
+        worker = worker_model.matrix(market, arrays)
+        combined = combiner.edge_matrix(requester, worker)
     return BenefitMatrices(
         requester=requester, worker=worker, combined=combined, combiner=combiner
     )

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.benefit.base import BenefitModel
 from repro.errors import ValidationError
-from repro.market.market import LaborMarket
+from repro.market.market import EntityArrays, LaborMarket
 
 SCALERS = ("max-abs", "mean-pos", "none")
 
@@ -51,6 +51,8 @@ class NormalizedBenefit(BenefitModel):
 
     The scale is computed per market snapshot (it must reflect the
     entries actually present), so wrapping is free of global state.
+    That makes it market-wide, not per-edge, so
+    :class:`~repro.benefit.rows.RowwiseBenefit` refuses it.
     """
 
     def __init__(self, inner: BenefitModel, scaler: str = "max-abs") -> None:
@@ -61,8 +63,10 @@ class NormalizedBenefit(BenefitModel):
         self.inner = inner
         self.scaler = scaler
 
-    def matrix(self, market: LaborMarket) -> np.ndarray:
-        raw = self.inner.matrix(market)
+    def matrix(
+        self, market: LaborMarket, arrays: EntityArrays | None = None
+    ) -> np.ndarray:
+        raw = self.inner.matrix(market, arrays)
         return raw / side_scale(raw, self.scaler)
 
 

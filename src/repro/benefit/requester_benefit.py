@@ -8,21 +8,21 @@ payment acts as the requester's own declared value).
 For replicated tasks the *marginal* value of one more worker depends on
 who else is assigned — that set-dependence is what makes the realistic
 objective submodular and is handled by
-:class:`repro.core.objective.CoverageObjective`.  The per-edge matrix
-built here is the linear surrogate the flow-based solvers use, and the
-exact per-edge value used by the ``linear`` combiner.
+:class:`repro.core.objective.CoverageObjective`.  The per-edge benefit
+computed here is the linear surrogate the flow-based solvers use, and
+the exact per-edge value used by the ``linear`` combiner.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.benefit.base import BenefitModel
-from repro.market.market import LaborMarket
+from repro.benefit.base import EdgeBenefitModel, Index
+from repro.market.market import EntityArrays
 from repro.utils.validation import check_nonnegative
 
 
-class QualityGainBenefit(BenefitModel):
+class QualityGainBenefit(EdgeBenefitModel):
     """``benefit = value_scale * payment * (accuracy - 0.5) * 2``.
 
     The ``* 2`` normalizes into [−value_scale·pay, value_scale·pay]: a
@@ -30,12 +30,13 @@ class QualityGainBenefit(BenefitModel):
     ``value_scale * payment``, a coin-flip worker yields 0.  Negative
     values (skill below 0.5 — an adversarial or confused worker) are
     kept: assigning such a worker actively hurts the requester.
+    ``accuracy`` is :meth:`repro.market.worker.Worker.accuracy_on`.
     """
 
     def __init__(self, value_scale: float = 1.0) -> None:
         self.value_scale = check_nonnegative("value_scale", value_scale)
 
-    def matrix(self, market: LaborMarket) -> np.ndarray:
-        accuracy = market.accuracy_matrix()
-        payments = market.task_payments()[np.newaxis, :]
-        return self.value_scale * payments * (accuracy - 0.5) * 2.0
+    def block(self, arrays: EntityArrays, workers: Index, tasks: Index) -> np.ndarray:
+        skills = arrays.skills[workers, arrays.categories[tasks]]
+        accuracy = 0.5 + (skills - 0.5) * (1.0 - arrays.difficulties[tasks])
+        return self.value_scale * arrays.payments[tasks] * (accuracy - 0.5) * 2.0

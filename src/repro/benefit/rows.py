@@ -5,15 +5,15 @@ full ``(n_workers, n_tasks)`` matrices — the right call for the
 round-based solvers, and hopeless at streaming scale: a 10^5 × 10^5
 market is 10^10 entries.  The streaming dispatcher only ever needs the
 benefits of *one* arriving entity against a bounded active set, so
-:class:`RowwiseBenefit` computes exactly those slices, vectorized,
-from O(workers + tasks) precomputed entity arrays.
+:class:`RowwiseBenefit` evaluates each side model's
+:meth:`~repro.benefit.base.EdgeBenefitModel.block` over exactly that
+slice, from entity arrays built once per market.
 
-The slice formulas are the models' own formulas applied elementwise,
-in the same operation order, so a row/column agrees **bit-identically**
-with the corresponding slice of the full matrices (a property test
-pins this).  Models outside the built-in fast path fall back to
-running ``model.matrix`` on a single-row submarket — slower, still
-bounded by the active set.
+A row or column is the formula the full matrix evaluates, over other
+index arrays, so it agrees **bit-identically** with the matching slice
+of the matrices.  Market-wide models such as
+:class:`~repro.benefit.normalization.NormalizedBenefit` have no
+per-edge block and are rejected at construction.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.benefit.base import BenefitModel
-from repro.benefit.mutual import LinearCombiner, MutualCombiner
-from repro.benefit.requester_benefit import QualityGainBenefit
-from repro.benefit.worker_benefit import NetRewardBenefit
+from repro.benefit.base import EdgeBenefitModel
+from repro.benefit.matrices import default_models
+from repro.benefit.mutual import MutualCombiner
+from repro.errors import ValidationError
 from repro.market.market import LaborMarket
-from repro.market.wage import FlatCost, LinearEffortCost
 
 
 class RowwiseBenefit:
@@ -42,127 +41,39 @@ class RowwiseBenefit:
         self,
         market: LaborMarket,
         combiner: MutualCombiner | None = None,
-        requester_model: BenefitModel | None = None,
-        worker_model: BenefitModel | None = None,
+        requester_model: EdgeBenefitModel | None = None,
+        worker_model: EdgeBenefitModel | None = None,
     ) -> None:
         self.market = market
-        self.combiner = combiner if combiner is not None else LinearCombiner(0.5)
-        self.requester_model = (
-            requester_model
-            if requester_model is not None
-            else QualityGainBenefit()
+        self.combiner, self.requester_model, self.worker_model = default_models(
+            combiner, requester_model, worker_model
         )
-        self.worker_model = (
-            worker_model if worker_model is not None else NetRewardBenefit()
-        )
-        # Entity arrays: O(n) once, every slice vectorizes over them.
-        self._skills = market.skill_matrix()
-        self._interests = market.interest_matrix()
-        self._reservation = np.array(
-            [w.reservation_wage for w in market.workers], dtype=float
-        )
-        self._categories = market.task_categories()
-        self._difficulties = market.task_difficulties()
-        self._payments = market.task_payments()
-        self._efforts = np.array(
-            [t.effort for t in market.tasks], dtype=float
-        )
-        self._fast = isinstance(
-            self.requester_model, QualityGainBenefit
-        ) and isinstance(self.worker_model, NetRewardBenefit) and isinstance(
-            self.worker_model.wage_model, (LinearEffortCost, FlatCost)
-        )
-
-    # -- slicing ---------------------------------------------------------
+        for model in (self.requester_model, self.worker_model):
+            if not isinstance(model, EdgeBenefitModel):
+                raise ValidationError(
+                    f"{type(model).__name__} has no per-edge block, so its "
+                    "rows are not slices of its matrix"
+                )
+        self.arrays = market.entity_arrays()
 
     def row(
         self, worker_index: int, task_indices: Sequence[int] | np.ndarray
     ) -> np.ndarray:
         """Combined benefit of one worker against selected tasks."""
-        tasks = np.asarray(task_indices, dtype=np.int64)
-        if tasks.size == 0:
-            return np.zeros(0)
-        if not self._fast:
-            return self._subset_combined([worker_index], tasks)[0]
-        req, wrk = self.side_row(worker_index, tasks)
-        return self.combiner.edge_matrix(req, wrk)
+        return self._combined(worker_index, np.asarray(task_indices, dtype=np.int64))
 
     def column(
         self, task_index: int, worker_indices: Sequence[int] | np.ndarray
     ) -> np.ndarray:
         """Combined benefit of one task against selected workers."""
-        workers = np.asarray(worker_indices, dtype=np.int64)
-        if workers.size == 0:
-            return np.zeros(0)
-        if not self._fast:
-            return self._subset_combined(workers, [task_index])[:, 0]
-        cats = self._categories[task_index]
-        skills = self._skills[workers, cats]
-        accuracy = 0.5 + (skills - 0.5) * (
-            1.0 - self._difficulties[task_index]
-        )
-        req = (
-            self.requester_model.value_scale
-            * self._payments[task_index]
-            * (accuracy - 0.5)
-            * 2.0
-        )
-        costs = self._wage_costs(skills, self._efforts[task_index])
-        shortfall = np.maximum(
-            self._reservation[workers] - self._payments[task_index], 0.0
-        )
-        wrk = self._payments[task_index] - costs - shortfall
-        wrk = wrk + (
-            self.worker_model.interest_weight * self._interests[workers, cats]
-        )
-        return self.combiner.edge_matrix(req, wrk)
-
-    def side_row(
-        self, worker_index: int, task_indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(requester, worker) benefit rows for selected tasks."""
-        tasks = np.asarray(task_indices, dtype=np.int64)
-        cats = self._categories[tasks]
-        skills = self._skills[worker_index, cats]
-        accuracy = 0.5 + (skills - 0.5) * (1.0 - self._difficulties[tasks])
-        req = (
-            self.requester_model.value_scale
-            * self._payments[tasks]
-            * (accuracy - 0.5)
-            * 2.0
-        )
-        costs = self._wage_costs(skills, self._efforts[tasks])
-        shortfall = np.maximum(
-            self._reservation[worker_index] - self._payments[tasks], 0.0
-        )
-        wrk = self._payments[tasks] - costs - shortfall
-        wrk = wrk + (
-            self.worker_model.interest_weight
-            * self._interests[worker_index, cats]
-        )
-        return req, wrk
+        return self._combined(np.asarray(worker_indices, dtype=np.int64), task_index)
 
     def edge(self, worker_index: int, task_index: int) -> float:
         """Combined benefit of one edge."""
-        return float(self.row(worker_index, np.array([task_index]))[0])
+        return float(self._combined(worker_index, task_index))
 
-    # -- internals -------------------------------------------------------
-
-    def _wage_costs(self, skills, efforts) -> np.ndarray:
-        """Vectorized wage-model cost, matching the scalar formulas."""
-        model = self.worker_model.wage_model
-        if isinstance(model, LinearEffortCost):
-            return (
-                model.rate
-                * efforts
-                * (1.0 + model.skill_discount * (1.0 - skills))
-            )
-        # FlatCost (the only other fast-path model).
-        return np.full(np.shape(skills), model.amount)
-
-    def _subset_combined(self, worker_indices, task_indices) -> np.ndarray:
-        """Generic fallback: full matrices on the bounded submarket."""
-        sub = self.market.subset(list(worker_indices), list(task_indices))
-        req = self.requester_model.matrix(sub)
-        wrk = self.worker_model.matrix(sub)
-        return self.combiner.edge_matrix(req, wrk)
+    def _combined(self, workers, tasks) -> np.ndarray:
+        return self.combiner.edge_matrix(
+            self.requester_model.block(self.arrays, workers, tasks),
+            self.worker_model.block(self.arrays, workers, tasks),
+        )

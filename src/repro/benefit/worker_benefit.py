@@ -3,7 +3,8 @@
 ``benefit = payment - cost(w, t) - reservation_penalty + interest_weight * interest``
 
 * ``payment`` is the task's per-worker reward;
-* ``cost`` comes from the market's wage model (effort priced in money);
+* ``cost`` comes from the market's wage model (effort priced in money,
+  :meth:`repro.market.wage.WageModel.costs`);
 * if the payment is below the worker's reservation wage the shortfall
   is charged again as a penalty — under-paying a worker is worse than
   neutral because it signals the platform undervalues them;
@@ -15,13 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benefit.base import BenefitModel
-from repro.market.market import LaborMarket
+from repro.benefit.base import EdgeBenefitModel, Index
+from repro.market.market import EntityArrays
 from repro.market.wage import LinearEffortCost, WageModel
 from repro.utils.validation import check_nonnegative
 
 
-class NetRewardBenefit(BenefitModel):
+class NetRewardBenefit(EdgeBenefitModel):
     """Payment − effort cost − reservation shortfall + interest bonus."""
 
     def __init__(
@@ -32,19 +33,12 @@ class NetRewardBenefit(BenefitModel):
         self.wage_model = wage_model if wage_model is not None else LinearEffortCost()
         self.interest_weight = check_nonnegative("interest_weight", interest_weight)
 
-    def matrix(self, market: LaborMarket) -> np.ndarray:
-        n_w, n_t = market.n_workers, market.n_tasks
-        benefit = np.zeros((n_w, n_t))
-        if n_w == 0 or n_t == 0:
-            return benefit
-        payments = market.task_payments()
-        categories = market.task_categories()
-        interests = market.interest_matrix()[:, categories]
-        for i, worker in enumerate(market.workers):
-            costs = np.array(
-                [self.wage_model.cost(worker, task) for task in market.tasks]
-            )
-            shortfall = np.maximum(worker.reservation_wage - payments, 0.0)
-            benefit[i, :] = payments - costs - shortfall
-        benefit += self.interest_weight * interests
-        return benefit
+    def block(self, arrays: EntityArrays, workers: Index, tasks: Index) -> np.ndarray:
+        categories = arrays.categories[tasks]
+        payments = arrays.payments[tasks]
+        costs = self.wage_model.costs(
+            arrays.skills[workers, categories], arrays.efforts[tasks]
+        )
+        shortfall = np.maximum(arrays.reservation_wages[workers] - payments, 0.0)
+        interests = arrays.interests[workers, categories]
+        return payments - costs - shortfall + self.interest_weight * interests

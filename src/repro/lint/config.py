@@ -93,6 +93,10 @@ DEFAULT_PERF_HOT_MODULES: frozenset[str] = frozenset(
         # The dispatch loop runs per arrival event at |W|,|T| = 1e5;
         # a scalar accumulation there multiplies by the event count.
         "repro.stream",
+        # Every round's benefit matrices and every streamed row come
+        # from one broadcast formula per side; a per-pair loop there
+        # multiplies by |W|·|T|.
+        "repro.benefit",
     }
 )
 

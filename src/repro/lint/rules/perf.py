@@ -9,8 +9,8 @@ Hungarian and auction inner loops exist precisely because this
 pattern crept in — R601 keeps it from creeping back.
 
 **R601** flags, inside the configured hot packages
-(``LintConfig.perf_hot_modules``, default ``repro.matching`` and
-``repro.core.solvers``):
+(``LintConfig.perf_hot_modules``, e.g. ``repro.matching``,
+``repro.core.solvers`` and ``repro.benefit``):
 
 * ``for`` loops over ``range(...)`` or ``enumerate(...)`` whose body
   accumulates a scalar from a subscript — ``total += weights[i, j]``;

@@ -9,6 +9,7 @@ index arrays without re-checking.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +18,20 @@ from repro.market.categories import CategoryTaxonomy
 from repro.market.requester import Requester
 from repro.market.task import Task
 from repro.market.worker import Worker
+
+
+@dataclass(frozen=True)
+class EntityArrays:
+    """The per-entity vectors the benefit formulas read, in index order
+    (see :meth:`LaborMarket.entity_arrays`)."""
+
+    skills: np.ndarray
+    interests: np.ndarray
+    reservation_wages: np.ndarray
+    categories: np.ndarray
+    difficulties: np.ndarray
+    payments: np.ndarray
+    efforts: np.ndarray
 
 
 class LaborMarket:
@@ -139,11 +154,29 @@ class LaborMarket:
     def task_payments(self) -> np.ndarray:
         return np.array([t.payment for t in self.tasks], dtype=float)
 
+    def task_efforts(self) -> np.ndarray:
+        return np.array([t.effort for t in self.tasks], dtype=float)
+
     def task_replications(self) -> np.ndarray:
         return np.array([t.replication for t in self.tasks], dtype=int)
 
     def worker_capacities(self) -> np.ndarray:
         return np.array([w.capacity for w in self.workers], dtype=int)
+
+    def reservation_wages(self) -> np.ndarray:
+        return np.array([w.reservation_wage for w in self.workers], dtype=float)
+
+    def entity_arrays(self) -> EntityArrays:
+        """All per-entity vectors of this snapshot."""
+        return EntityArrays(
+            skills=self.skill_matrix(),
+            interests=self.interest_matrix(),
+            reservation_wages=self.reservation_wages(),
+            categories=self.task_categories(),
+            difficulties=self.task_difficulties(),
+            payments=self.task_payments(),
+            efforts=self.task_efforts(),
+        )
 
     def accuracy_matrix(self) -> np.ndarray:
         """``(n_workers, n_tasks)`` probability worker i answers task j

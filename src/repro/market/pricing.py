@@ -30,7 +30,7 @@ from repro.crowd.quality import knowledge_coverage_quality
 from repro.errors import ValidationError
 from repro.market.market import LaborMarket
 from repro.market.task import Task
-from repro.market.wage import WageModel
+from repro.market.wage import LinearEffortCost, WageModel
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,37 @@ def willingness_prices(
     Non-monetary interest is deliberately ignored here — pricing is
     done against the cautious, money-only worker.
     """
-    # Imported here, not at module top: repro.benefit imports the
-    # market package, so a top-level import would be circular.
-    from repro.benefit.worker_benefit import NetRewardBenefit
+    wage_model = wage_model if wage_model is not None else LinearEffortCost()
+    costs = wage_model.costs(market.skill_matrix()[:, task.category], task.effort)
+    prices = np.maximum(costs, (costs + market.reservation_wages()) / 2.0)
+    active = np.array([w.active for w in market.workers], dtype=bool)
+    return np.where(active, prices, np.inf)
 
-    model = NetRewardBenefit(wage_model=wage_model, interest_weight=0.0)
-    prices = []
-    for worker in market.workers:
-        if not worker.active:
-            prices.append(np.inf)
-            continue
-        cost = model.wage_model.cost(worker, task)
-        prices.append(max(cost, (cost + worker.reservation_wage) / 2.0))
-    return np.array(prices)
+
+def _price_curve(market, task, value_per_quality, wage_model):
+    """Every worker's price for ``task`` and its ``payment -> PricePoint``
+    map, both reading prices and accuracies computed once."""
+    prices = willingness_prices(market, task, wage_model)
+    accuracy = np.array(
+        [w.accuracy_on(task.category, task.difficulty) for w in market.workers],
+        dtype=float,
+    )
+
+    def point(payment: float) -> PricePoint:
+        willing = np.nonzero(prices < payment)[0]
+        # The platform assigns the best `replication` willing workers.
+        committee = np.sort(accuracy[willing])[::-1][: task.replication]
+        quality = knowledge_coverage_quality(list(committee))
+        fills = len(committee)
+        return PricePoint(
+            payment=float(payment),
+            n_willing=int(len(willing)),
+            expected_quality=float(quality),
+            expected_cost=float(payment * fills),
+            surplus=float(value_per_quality * quality - payment * fills),
+        )
+
+    return prices, point
 
 
 def evaluate_payment(
@@ -84,26 +102,7 @@ def evaluate_payment(
     """Expected outcome of posting ``task`` at a given payment."""
     if payment < 0:
         raise ValidationError(f"payment must be >= 0, got {payment}")
-    prices = willingness_prices(market, task, wage_model)
-    willing = np.nonzero(prices < payment)[0]
-    accuracy = np.array(
-        [
-            market.workers[i].accuracy_on(task.category, task.difficulty)
-            for i in willing
-        ]
-    )
-    # The platform assigns the best `replication` willing workers.
-    committee = np.sort(accuracy)[::-1][: task.replication]
-    quality = knowledge_coverage_quality(list(committee))
-    fills = len(committee)
-    surplus = value_per_quality * quality - payment * fills
-    return PricePoint(
-        payment=float(payment),
-        n_willing=int(len(willing)),
-        expected_quality=float(quality),
-        expected_cost=float(payment * fills),
-        surplus=float(surplus),
-    )
+    return _price_curve(market, task, value_per_quality, wage_model)[1](payment)
 
 
 def optimize_payment(
@@ -124,18 +123,16 @@ def optimize_payment(
         raise ValidationError(
             f"value_per_quality must be >= 0, got {value_per_quality}"
         )
-    prices = willingness_prices(market, task, wage_model)
+    prices, point = _price_curve(market, task, value_per_quality, wage_model)
     candidates = sorted(
         {0.0}
         | {float(p) + epsilon for p in prices if np.isfinite(p)}
     )
     best: PricePoint | None = None
     for payment in candidates:
-        point = evaluate_payment(
-            market, task, payment, value_per_quality, wage_model
-        )
-        if best is None or point.surplus > best.surplus + 1e-12:
-            best = point
+        candidate = point(payment)
+        if best is None or candidate.surplus > best.surplus + 1e-12:
+            best = candidate
     assert best is not None  # candidates always contains 0.0
     return best
 

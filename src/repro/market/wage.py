@@ -7,14 +7,17 @@ The worker-side benefit of an edge (w, t) is::
 This module supplies the ``cost`` part.  Different markets price effort
 differently (micro-task platforms pay cents for seconds of work;
 freelance markets pay for hours), so cost is a pluggable strategy.
+
+A model is written once, in array form (:meth:`WageModel.costs`): the
+benefit matrices, the streaming rows and task pricing all call it.
 """
 
 from __future__ import annotations
 
 import abc
 
-from repro.market.task import Task
-from repro.market.worker import Worker
+import numpy as np
+
 from repro.utils.validation import check_nonnegative
 
 
@@ -22,8 +25,10 @@ class WageModel(abc.ABC):
     """Strategy interface converting task effort into worker cost."""
 
     @abc.abstractmethod
-    def cost(self, worker: Worker, task: Task) -> float:
-        """Monetary-equivalent cost for ``worker`` to complete ``task``."""
+    def costs(self, skills: np.ndarray, efforts: np.ndarray) -> np.ndarray:
+        """Monetary-equivalent cost of each (worker, task) pair, given the
+        worker's skill in the task's category and the task's effort as
+        arrays that broadcast together."""
 
 
 class LinearEffortCost(WageModel):
@@ -40,9 +45,8 @@ class LinearEffortCost(WageModel):
         self.rate = check_nonnegative("rate", rate)
         self.skill_discount = check_nonnegative("skill_discount", skill_discount)
 
-    def cost(self, worker: Worker, task: Task) -> float:
-        skill = worker.skill_for(task.category)
-        return self.rate * task.effort * (1.0 + self.skill_discount * (1.0 - skill))
+    def costs(self, skills: np.ndarray, efforts: np.ndarray) -> np.ndarray:
+        return self.rate * efforts * (1.0 + self.skill_discount * (1.0 - skills))
 
 
 class FlatCost(WageModel):
@@ -51,5 +55,6 @@ class FlatCost(WageModel):
     def __init__(self, amount: float = 0.1) -> None:
         self.amount = check_nonnegative("amount", amount)
 
-    def cost(self, worker: Worker, task: Task) -> float:
-        return self.amount
+    def costs(self, skills: np.ndarray, efforts: np.ndarray) -> np.ndarray:
+        shape = np.broadcast_shapes(np.shape(skills), np.shape(efforts))
+        return np.full(shape, self.amount)

@@ -4,44 +4,44 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.market.task import Task
 from repro.market.wage import FlatCost, LinearEffortCost
-from repro.market.worker import Worker
-
-
-def _worker(skill):
-    return Worker(worker_id=0, skills=np.array([skill]))
 
 
 class TestLinearEffortCost:
     def test_scales_with_effort(self):
         model = LinearEffortCost(rate=0.5, skill_discount=0.0)
-        cheap = Task(task_id=0, category=0, effort=1.0)
-        dear = Task(task_id=1, category=0, effort=3.0)
-        worker = _worker(0.8)
-        assert model.cost(worker, dear) == pytest.approx(
-            3.0 * model.cost(worker, cheap)
-        )
+        cheap, dear = model.costs(np.array([0.8, 0.8]), np.array([1.0, 3.0]))
+        assert dear == pytest.approx(3.0 * cheap)
 
     def test_skilled_workers_pay_less(self):
         model = LinearEffortCost(rate=0.5, skill_discount=1.0)
-        task = Task(task_id=0, category=0, effort=1.0)
-        assert model.cost(_worker(0.9), task) < model.cost(_worker(0.3), task)
+        skilled, unskilled = model.costs(np.array([0.9, 0.3]), 1.0)
+        assert skilled < unskilled
 
     def test_zero_discount_ignores_skill(self):
         model = LinearEffortCost(rate=0.5, skill_discount=0.0)
-        task = Task(task_id=0, category=0, effort=2.0)
-        assert model.cost(_worker(0.9), task) == model.cost(_worker(0.1), task)
+        skilled, unskilled = model.costs(np.array([0.9, 0.1]), 2.0)
+        assert skilled == unskilled
 
     def test_rejects_negative_rate(self):
         with pytest.raises(ValidationError):
             LinearEffortCost(rate=-0.1)
 
+    def test_broadcasts_workers_against_tasks(self):
+        model = LinearEffortCost(rate=0.2, skill_discount=0.5)
+        skills = np.array([[0.9], [0.4]])
+        efforts = np.array([[1.0, 2.5, 4.0]])
+        costs = model.costs(skills, efforts)
+        assert costs.shape == (2, 3)
+        assert costs[1, 2] == 0.2 * 4.0 * (1.0 + 0.5 * (1.0 - 0.4))
+
 
 class TestFlatCost:
     def test_constant(self):
         model = FlatCost(amount=0.25)
-        task_a = Task(task_id=0, category=0, effort=1.0)
-        task_b = Task(task_id=1, category=0, effort=9.0)
-        assert model.cost(_worker(0.5), task_a) == 0.25
-        assert model.cost(_worker(0.5), task_b) == 0.25
+        costs = model.costs(np.array([0.5, 0.5]), np.array([1.0, 9.0]))
+        assert costs.tolist() == [0.25, 0.25]
+
+    def test_broadcast_shape(self):
+        costs = FlatCost(amount=0.25).costs(np.zeros((4, 1)), np.ones((1, 3)))
+        assert costs.shape == (4, 3)
