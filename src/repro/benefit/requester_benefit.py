@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.benefit.base import EdgeBenefitModel, Index
-from repro.market.market import EntityArrays
+from repro.market.market import EntityArrays, answer_accuracy
 from repro.utils.validation import check_nonnegative
 
 
@@ -37,6 +37,8 @@ class QualityGainBenefit(EdgeBenefitModel):
         self.value_scale = check_nonnegative("value_scale", value_scale)
 
     def block(self, arrays: EntityArrays, workers: Index, tasks: Index) -> np.ndarray:
-        skills = arrays.skills[workers, arrays.categories[tasks]]
-        accuracy = 0.5 + (skills - 0.5) * (1.0 - arrays.difficulties[tasks])
+        accuracy = answer_accuracy(
+            arrays.skills[workers, arrays.categories[tasks]],
+            arrays.difficulties[tasks],
+        )
         return self.value_scale * arrays.payments[tasks] * (accuracy - 0.5) * 2.0

@@ -53,12 +53,10 @@ class AuctionSolver(Solver):
         max_rounds: int = 10_000_000,
         epsilon_start: float | None = None,
         scaling: float = 4.0,
-        mode: str = "gauss-seidel",
     ) -> None:
         self.max_rounds = max_rounds
         self.epsilon_start = epsilon_start
         self.scaling = scaling
-        self.mode = mode
 
     def solve(self, problem: MBAProblem, seed: SeedLike = None) -> Assignment:
         assignment, _prices = self.solve_with_prices(problem)
@@ -119,7 +117,6 @@ class AuctionSolver(Solver):
                 epsilon_start=self.epsilon_start,
                 scaling=self.scaling,
                 max_rounds=self.max_rounds,
-                mode=self.mode,
                 start_prices=start_prices,
                 return_state=True,
             )

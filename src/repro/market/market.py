@@ -8,7 +8,7 @@ index arrays without re-checking.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +18,12 @@ from repro.market.categories import CategoryTaxonomy
 from repro.market.requester import Requester
 from repro.market.task import Task
 from repro.market.worker import Worker
+
+
+def answer_accuracy(skills: np.ndarray, difficulties: np.ndarray) -> np.ndarray:
+    """Array form of :meth:`Worker.accuracy_on`: ``skills`` gathered at
+    each task's category, ``difficulties`` broadcast against them."""
+    return 0.5 + (skills - 0.5) * (1.0 - difficulties)
 
 
 @dataclass(frozen=True)
@@ -187,37 +193,9 @@ class LaborMarket:
         """
         if not self.workers or not self.tasks:
             return np.zeros((self.n_workers, self.n_tasks))
-        skills = self.skill_matrix()[:, self.task_categories()]
-        damp = 1.0 - self.task_difficulties()[np.newaxis, :]
-        return 0.5 + (skills - 0.5) * damp
-
-    # -- mutation used by the simulator ---------------------------------------
-
-    def subset(
-        self,
-        worker_indices: Iterable[int] | None = None,
-        task_indices: Iterable[int] | None = None,
-    ) -> "LaborMarket":
-        """A new market containing only the selected workers/tasks.
-
-        Entities are shared (not copied); the simulator uses this to
-        restrict a round to active workers and unexpired tasks.
-        """
-        w_idx = (
-            list(worker_indices)
-            if worker_indices is not None
-            else list(range(self.n_workers))
-        )
-        t_idx = (
-            list(task_indices)
-            if task_indices is not None
-            else list(range(self.n_tasks))
-        )
-        return LaborMarket(
-            [self.workers[i] for i in w_idx],
-            [self.tasks[j] for j in t_idx],
-            self.taxonomy,
-            self.requesters,
+        return answer_accuracy(
+            self.skill_matrix()[:, self.task_categories()],
+            self.task_difficulties(),
         )
 
     def __repr__(self) -> str:

@@ -10,8 +10,7 @@ solvers are built on:
   assignment (independent implementation used to cross-validate flow);
 * :mod:`hopcroft_karp` — maximum-cardinality bipartite matching;
 * :mod:`auction` — Bertsekas' ε-scaling auction algorithm (a third
-  independent optimum for cross-validation), with sequential
-  (Gauss-Seidel) and batched (Jacobi) bidding modes;
+  independent optimum for cross-validation);
 * :mod:`reference` — scalar-loop reference implementations the
   vectorized hot paths are cross-validated and benchmarked against;
 * :mod:`b_matching` — capacitated maximum-weight b-matching via flow;

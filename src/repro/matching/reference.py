@@ -1,11 +1,10 @@
 """Pure-Python reference implementations of the vectorized solvers.
 
-The hot-path modules (:mod:`repro.matching.hungarian`, the Jacobi mode
-of :mod:`repro.matching.auction`) are written with numpy masked
-reductions for speed.  Vectorized code is easy to get subtly wrong —
-an off-by-one in a mask or a tie broken by a different index is
-invisible until an instance hits it — so the original scalar loops
-live on here, unchanged, as the ground truth the fast paths are
+The hot-path module :mod:`repro.matching.hungarian` is written with
+numpy masked reductions for speed.  Vectorized code is easy to get
+subtly wrong — an off-by-one in a mask or a tie broken by a different
+index is invisible until an instance hits it — so the original scalar
+loops live on here, unchanged, as the ground truth the fast paths are
 cross-validated against (see ``tests/test_matching_vectorized.py``)
 and as the readable exposition of each algorithm.
 

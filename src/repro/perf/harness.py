@@ -7,11 +7,9 @@ micro-level tier:
   the Hungarian solve on market-derived benefit matrices, vectorized
   against :func:`repro.matching.reference.hungarian_reference`, and
   the end-to-end flow-solver pipeline.
-* ``f8_scale_tasks`` — |T| grows (Figure 8 shape): the auction solve
-  in batched Jacobi mode against the sequential Gauss-Seidel mode on
-  *specialist* square instances (each bidder strongly prefers its own
-  object — the low-contention regime Jacobi targets; see
-  ``docs/performance.md``), and the end-to-end greedy pipeline.
+* ``f8_scale_tasks`` — |T| grows (Figure 8 shape): the end-to-end
+  auction and greedy pipelines on generated markets, so the auction
+  runs on the capacity-expanded matrices the system actually solves.
 * ``micro`` — hot-path microbenchmarks: batched
   :func:`repro.crowd.answer_model.simulate_answers` against its
   scalar reference, and :meth:`BenefitMatrices.side_totals` against a
@@ -71,7 +69,6 @@ from repro.core.solvers.pruned import top_k_edge_mask
 from repro.crowd.answer_model import simulate_answers, simulate_answers_reference
 from repro.datagen.synthetic import SyntheticConfig, generate_market
 from repro.errors import ValidationError
-from repro.matching.auction import auction_assignment
 from repro.matching.hungarian import hungarian
 from repro.matching.reference import hungarian_reference
 from repro.utils.rng import as_rng
@@ -211,22 +208,6 @@ def _best_of(fn: Callable[[], float], repeats: int) -> tuple[float, float]:
     return best, value
 
 
-def specialist_weights(n: int, seed: int) -> np.ndarray:
-    """A low-contention square benefit matrix.
-
-    Background benefits are crushed towards zero (``u**8``) and each
-    bidder gets one strongly dominant object on the diagonal, so
-    bidders mostly want *different* objects — the regime where
-    Jacobi's one-bid-per-person-per-round batching pays off.  Market
-    matrices from the paper's generator are near rank-1 (log-normal
-    payments dominate) and heavily contended; Gauss-Seidel stays the
-    better mode there, which is why it stays the default.
-    """
-    rng = as_rng(seed)
-    base = rng.random((n, n)) ** 8 * 0.3
-    return base + np.eye(n) * rng.uniform(1.0, 2.0, n)
-
-
 def _market_cost(n_workers: int, n_tasks: int, seed: int) -> np.ndarray:
     """Maximization market benefit as a Hungarian min-cost matrix with
     rows <= columns."""
@@ -254,27 +235,6 @@ def _hungarian_case(size: int, n_tasks: int, suite: str) -> BenchCase:
         suite=suite,
         size=size,
         solver="hungarian",
-        runner=runner,
-    )
-
-
-def _auction_case(size: int, suite: str) -> BenchCase:
-    def runner(repeats: int) -> Measurement:
-        weights = specialist_weights(size, seed=size)
-        wall, total = _best_of(
-            lambda: auction_assignment(weights, mode="jacobi")[1], repeats
-        )
-        ref_wall, ref_total = _best_of(
-            lambda: auction_assignment(weights, mode="gauss-seidel")[1],
-            repeats,
-        )
-        return Measurement(wall, ref_wall, total, ref_total)
-
-    return BenchCase(
-        name=f"auction/n={size}",
-        suite=suite,
-        size=size,
-        solver="auction",
         runner=runner,
     )
 
@@ -753,9 +713,9 @@ def build_suites(
         _pipeline_case("flow", size, max(flow_sizes), size, "f7_scale_workers")
         for size in flow_sizes
     ]
-    f8 = [_auction_case(size, "f8_scale_tasks") for size in sizes]
-    f8 += [
-        _pipeline_case("greedy", sizes[0], size, size, "f8_scale_tasks")
+    f8 = [
+        _pipeline_case(solver_name, sizes[0], size, size, "f8_scale_tasks")
+        for solver_name in ("auction", "greedy")
         for size in sizes
     ]
     micro = [

@@ -4,10 +4,10 @@ The schema (:mod:`repro.spec.schema`) polices one knob at a time; the
 constraints here police *combinations* — the invalid corners of the
 scenario lattice that today fail at round 1 of a long run (a typo'd
 ``solver_kwargs`` key, gold questions with nobody learning from them,
-a Jacobi auction on a rectangular market).  Each constraint declares
-the knobs it reads in a literal tuple; the R703 lint rule statically
-verifies every referenced knob is schema-declared, so the catalogue
-can never drift from the schema.
+a drift floor above its ceiling).  Each constraint declares the knobs
+it reads in a literal tuple; the R703 lint rule statically verifies
+every referenced knob is schema-declared, so the catalogue can never
+drift from the schema.
 
 Registry-dependent facts (which solvers exist, what their constructors
 accept, which aggregators and resilience profiles are registered) are
@@ -188,22 +188,6 @@ def _solver_kwargs_match_signature(spec: NormalizedSpec, view: RegistryView):
         f"solver {solver!r} does not accept solver_kwargs key(s) "
         f"{', '.join(repr(key) for key in unknown)}; accepted: "
         f"{', '.join(sorted(accepted)) or '(none)'}"
-    )
-
-
-def _jacobi_needs_square(spec: NormalizedSpec, view: RegistryView):
-    kwargs = spec["scenario.solver_kwargs"] or {}
-    if str(spec["scenario.solver"]) != "auction":
-        return None
-    if kwargs.get("mode") != "jacobi":  # type: ignore[union-attr]
-        return None
-    workers, tasks = spec["market.workers"], spec["market.tasks"]
-    if workers == tasks:
-        return None
-    return (
-        f"auction mode='jacobi' (batched bidding) only runs on square "
-        f"instances; this market is {workers}x{tasks}, so every solve "
-        "would silently fall back to the sequential gauss-seidel path"
     )
 
 
@@ -434,17 +418,6 @@ CONSTRAINTS: tuple[Constraint, ...] = (
         knobs=("scenario.solver_kwargs", "scenario.solver"),
         summary="solver_kwargs keys must match the solver's signature",
         check=_solver_kwargs_match_signature,
-    ),
-    Constraint(
-        id="C203",
-        knobs=(
-            "scenario.solver",
-            "scenario.solver_kwargs",
-            "market.workers",
-            "market.tasks",
-        ),
-        summary="jacobi auction mode requires a square market",
-        check=_jacobi_needs_square,
     ),
     Constraint(
         id="C204",

@@ -3,10 +3,10 @@
 A spec's ``[axes]`` section turns scalar knobs into swept dimensions;
 the lattice is their cartesian product.  :func:`expand` enumerates it,
 runs the full static checker on every point, and returns only the
-checker-clean scenarios — invalid corners (a jacobi auction landing on
-a rectangular market, gold without an estimator) are *dropped and
-counted*, never silently emitted.  :func:`sample` draws a seeded
-subset for CI smoke runs where the full product is too much.
+checker-clean scenarios — invalid corners (a drift floor above its
+ceiling, gold without an estimator) are *dropped and counted*, never
+silently emitted.  :func:`sample` draws a seeded subset for CI smoke
+runs where the full product is too much.
 
 Every point carries a durable content-addressed id (``sc-`` plus
 :func:`repro.obs.registry.content_id` over the effective knob values)

@@ -106,13 +106,6 @@ class TestViews:
         with pytest.raises(ValidationError):
             tiny_market.task_by_id(99)
 
-    def test_subset(self, tiny_market):
-        sub = tiny_market.subset(worker_indices=[0, 2], task_indices=[1])
-        assert sub.n_workers == 2
-        assert sub.n_tasks == 1
-        # Entities are shared, not copied.
-        assert sub.workers[0] is tiny_market.workers[0]
-
     def test_empty_market_views(self, taxonomy):
         market = LaborMarket([], [], taxonomy)
         assert market.skill_matrix().shape == (0, 3)

@@ -2,7 +2,7 @@
 
 Three independent implementations of the assignment optimum exist —
 the vectorized Hungarian, its scalar reference, and the ε-scaling
-auction (in two bidding modes) — plus min-cost flow one level up.
+auction — plus min-cost flow one level up.
 These tests drive them over random and degenerate instances and
 require bit-for-bit agreement on the optimal *total* (assignments may
 differ only between algorithms when optima tie; the vectorized
@@ -74,16 +74,13 @@ class TestOptimaAgree:
 
     def test_auction_modes_agree_with_hungarian(self, weights):
         _, hungarian_total = hungarian(-weights)
-        for mode in ("gauss-seidel", "jacobi"):
-            assignment, total = auction_assignment(weights, mode=mode)
-            assert total == pytest.approx(-hungarian_total, abs=1e-6)
-            # A valid perfect matching on the rows.
-            assert len(assignment) == weights.shape[0]
-            assert len(set(assignment)) == weights.shape[0]
-            recomputed = sum(
-                weights[i, j] for i, j in enumerate(assignment)
-            )
-            assert total == pytest.approx(recomputed, abs=1e-9)
+        assignment, total = auction_assignment(weights)
+        assert total == pytest.approx(-hungarian_total, abs=1e-6)
+        # A valid perfect matching on the rows.
+        assert len(assignment) == weights.shape[0]
+        assert len(set(assignment)) == weights.shape[0]
+        recomputed = sum(weights[i, j] for i, j in enumerate(assignment))
+        assert total == pytest.approx(recomputed, abs=1e-9)
 
     def test_flow_agrees(self, weights):
         if weights.size > 80:  # keep the O(n·m) flow builds cheap
@@ -98,10 +95,7 @@ class TestDegenerateInstances:
     def test_empty_rows(self):
         assert hungarian(np.empty((0, 4))) == ([], 0.0)
         assert hungarian_reference(np.empty((0, 4))) == ([], 0.0)
-        for mode in ("gauss-seidel", "jacobi"):
-            assert auction_assignment(
-                np.empty((0, 4)), mode=mode
-            ) == ([], 0.0)
+        assert auction_assignment(np.empty((0, 4))) == ([], 0.0)
 
     def test_more_rows_than_columns_rejected(self):
         bad = np.ones((4, 2))
@@ -109,9 +103,8 @@ class TestDegenerateInstances:
             hungarian(bad)
         with pytest.raises(ValidationError):
             hungarian_reference(bad)
-        for mode in ("gauss-seidel", "jacobi"):
-            with pytest.raises(ValidationError):
-                auction_assignment(bad, mode=mode)
+        with pytest.raises(ValidationError):
+            auction_assignment(bad)
 
     def test_non_finite_rejected(self):
         bad = np.asarray([[1.0, np.inf]])
@@ -120,21 +113,9 @@ class TestDegenerateInstances:
         with pytest.raises(ValidationError):
             auction_assignment(bad)
 
-    def test_unknown_auction_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            auction_assignment(np.ones((2, 2)), mode="chaotic")
-
-    def test_jacobi_is_deterministic(self):
-        rng = as_rng(3)
-        weights = rng.integers(0, 3, (9, 9)).astype(float)
-        first = auction_assignment(weights, mode="jacobi")
-        second = auction_assignment(weights, mode="jacobi")
-        assert first == second
-
     def test_rectangular_rows_all_assigned_distinctly(self):
         rng = as_rng(4)
         weights = rng.random((6, 30))
-        for mode in ("gauss-seidel", "jacobi"):
-            assignment, _total = auction_assignment(weights, mode=mode)
-            assert len(assignment) == 6
-            assert len(set(assignment)) == 6
+        assignment, _total = auction_assignment(weights)
+        assert len(assignment) == 6
+        assert len(set(assignment)) == 6

@@ -120,7 +120,7 @@ class TestStructuralDiagnostics:
 
     def test_d106_axis_on_table_knob(self):
         spec = payload()
-        spec["axes"] = {"scenario.solver_kwargs": [{"mode": "jacobi"}]}
+        spec["axes"] = {"scenario.solver_kwargs": [{"scaling": 2.0}]}
         _, diagnostics = normalize(spec)
         assert "D106" in codes(diagnostics)
 

@@ -95,33 +95,29 @@ class TestC202SolverKwargsSignature:
             payload(
                 scenario={
                     "solver": "auction",
-                    "solver_kwargs": {"mode": "gauss-seidel"},
+                    "solver_kwargs": {"scaling": 2.0},
                 }
             ),
             view=view,
         )
         assert "C202" not in codes(result)
 
-
-class TestC203JacobiNeedsSquare:
-    def _spec(self, workers, tasks):
-        spec = payload(
-            scenario={
-                "solver": "auction",
-                "solver_kwargs": {"mode": "jacobi"},
-            }
+    def test_fires_on_removed_auction_mode(self, view):
+        # The auction has a single bidding loop; an old spec that still
+        # names a bidding mode is refused.
+        result = check_spec(
+            payload(
+                scenario={
+                    "solver": "auction",
+                    "solver_kwargs": {"mode": "gauss-seidel"},
+                }
+            ),
+            view=view,
         )
-        spec["market"]["workers"] = workers
-        spec["market"]["tasks"] = tasks
-        return spec
-
-    def test_fires_on_rectangular_market(self, view):
-        result = check_spec(self._spec(30, 15), view=view)
-        assert "C203" in codes(result)
-
-    def test_silent_on_square_market(self, view):
-        result = check_spec(self._spec(20, 20), view=view)
-        assert "C203" not in codes(result)
+        message = next(
+            d.message for d in result.diagnostics if d.code == "C202"
+        )
+        assert "'mode'" in message
 
 
 class TestC204FaultsNeedSeed:

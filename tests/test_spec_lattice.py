@@ -45,21 +45,15 @@ class TestExpand:
         ]
 
     def test_invalid_corners_dropped_and_counted(self, view):
-        spec = payload(
-            scenario={
-                "solver": "auction",
-                "solver_kwargs": {"mode": "jacobi"},
-            }
-        )
-        del spec["market"]["tasks"]
-        spec["axes"] = {"market.tasks": [10, 12]}
+        spec = payload(drift={"enabled": True, "ceiling": 0.6})
+        spec["axes"] = {"drift.floor": [0.5, 0.9]}
         lattice = expand(spec, view=view)
-        # 10x10 is square and survives; 10x12 trips C203.
+        # A floor of 0.5 survives; 0.9 sits above the ceiling (C206).
         assert len(lattice.points) == 1
         assert len(lattice.dropped) == 1
-        assert lattice.points[0].axis_values == {"market.tasks": 10}
+        assert lattice.points[0].axis_values == {"drift.floor": 0.5}
         dropped = lattice.dropped[0]
-        assert {d.code for d in dropped.diagnostics} == {"C203"}
+        assert {d.code for d in dropped.diagnostics} == {"C206"}
 
     def test_axisless_spec_yields_one_point(self, view):
         lattice = expand(payload(), view=view)
